@@ -7,7 +7,7 @@
 //! utilization and uses the same cost model, but a node that is mediocre for
 //! every pending task still gets one, and early jobs monopolize good slots.
 //! The ablation benches compare it against [`ProbabilisticPlacer`]
-//! (`crates/bench/src/bin/ablation_prob_model.rs`).
+//! (`ablation_prob_model` in `crates/bench/src/experiments/ablations.rs`).
 //!
 //! [`ProbabilisticPlacer`]: pnats_core::prob_sched::ProbabilisticPlacer
 

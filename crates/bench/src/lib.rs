@@ -1,9 +1,13 @@
 //! # pnats-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), all built on
-//! this crate's [`harness`]: standard cluster configurations, scheduler
-//! constructors and batch runners. `repro_all` chains every experiment and
-//! prints an EXPERIMENTS.md-ready report.
+//! Every table and figure of the paper, every ablation and every CI gate
+//! is an entry of the [`experiments`] registry, run through the one
+//! `pnats-bench` binary: `pnats-bench <name> [seed] [--smoke]`,
+//! `pnats-bench all [seed]` (the whole paper sweep as one
+//! EXPERIMENTS.md-ready report) and `pnats-bench list`. All of them are
+//! built on this crate's [`harness`]: standard cluster configurations,
+//! scheduler constructors and the parallel run matrix. [`bench_json`] is
+//! the one writer of the `BENCH_*.json` result files.
 //!
 //! ## Standard configurations
 //!
@@ -19,15 +23,13 @@
 //!
 //! Both are documented, deterministic and seed-parameterized.
 
+pub mod bench_json;
+pub mod experiments;
 pub mod failover;
 pub mod harness;
 
 pub use harness::{
     batch_runs, cloud_config, harness_threads, hdfs_config, make_placer, mean_jct, parallel_map,
-    patch_bench_section, run_batch, run_batches, run_matrix, run_matrix_with, trace_path,
-    usage_on_help, PlacerSpec,
-    Run,
-    SchedulerKind,
-    ALL_SCHEDULERS,
+    run_matrix, run_matrix_with, trace_path, Ctx, PlacerSpec, Run, SchedulerKind, ALL_SCHEDULERS,
     PAPER_SCHEDULERS,
 };

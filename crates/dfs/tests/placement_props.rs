@@ -14,6 +14,55 @@ fn distinct(nodes: &[NodeId]) -> bool {
     v.len() == nodes.len()
 }
 
+/// Rack-aware placement on a `racks × per_rack` cluster: distinct
+/// replicas, writer first, the second off the writer's rack, the third
+/// beside the second when that rack has room.
+fn check_rack_aware(
+    racks: usize,
+    per_rack: usize,
+    writer: usize,
+    replication: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let topo = Topology::multi_rack(racks, per_rack, 1e9, 1e9);
+    let layout = topo.layout();
+    let n = layout.n_nodes();
+    let writer = NodeId((writer % n) as u32);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let reps = RackAware.place(writer, replication, layout, &mut rng);
+    // Count never exceeds request or cluster size.
+    prop_assert!(reps.len() <= replication.min(n));
+    prop_assert!(reps.len() == replication.min(n) || reps.len() == replication,
+        "short only when the cluster is smaller than the factor");
+    prop_assert!(distinct(&reps));
+    if replication >= 1 {
+        prop_assert_eq!(reps[0], writer, "first replica is writer-local");
+    }
+    // With >= 2 racks, the second replica leaves the writer's rack.
+    if replication >= 2 && racks >= 2 {
+        prop_assert!(!layout.same_rack(reps[0], reps[1]));
+    }
+    // The third shares the second's rack whenever that rack has a
+    // spare node; otherwise the policy falls back to any free node.
+    if reps.len() >= 3 {
+        let spare_in_second_rack = (0..n as u32)
+            .map(NodeId)
+            .any(|c| layout.same_rack(c, reps[1]) && c != reps[1] && c != reps[0]);
+        if spare_in_second_rack {
+            prop_assert!(layout.same_rack(reps[1], reps[2]));
+        }
+    }
+    Ok(())
+}
+
+/// The shrunk failure proptest once recorded for `rack_aware_invariants`:
+/// three single-node racks asked for three replicas, so the third
+/// replica has no spare node beside the second and must fall back.
+#[test]
+fn rack_aware_three_single_node_racks_three_replicas() {
+    check_rack_aware(3, 1, 0, 3, 0).unwrap();
+}
+
 proptest! {
     #[test]
     fn rack_aware_invariants(
@@ -23,34 +72,7 @@ proptest! {
         replication in 0usize..6,
         seed in 0u64..10_000,
     ) {
-        let topo = Topology::multi_rack(racks, per_rack, 1e9, 1e9);
-        let layout = topo.layout();
-        let n = layout.n_nodes();
-        let writer = NodeId((writer % n) as u32);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let reps = RackAware.place(writer, replication, layout, &mut rng);
-        // Count never exceeds request or cluster size.
-        prop_assert!(reps.len() <= replication.min(n));
-        prop_assert!(reps.len() == replication.min(n) || reps.len() == replication,
-            "short only when the cluster is smaller than the factor");
-        prop_assert!(distinct(&reps));
-        if replication >= 1 {
-            prop_assert_eq!(reps[0], writer, "first replica is writer-local");
-        }
-        // With >= 2 racks, the second replica leaves the writer's rack.
-        if replication >= 2 && racks >= 2 {
-            prop_assert!(!layout.same_rack(reps[0], reps[1]));
-        }
-        // The third shares the second's rack whenever that rack has a
-        // spare node; otherwise the policy falls back to any free node.
-        if reps.len() >= 3 {
-            let spare_in_second_rack = (0..n as u32)
-                .map(NodeId)
-                .any(|c| layout.same_rack(c, reps[1]) && c != reps[1] && c != reps[0]);
-            if spare_in_second_rack {
-                prop_assert!(layout.same_rack(reps[1], reps[2]));
-            }
-        }
+        check_rack_aware(racks, per_rack, writer, replication, seed)?;
     }
 
     #[test]

@@ -3,6 +3,30 @@
 use pnats_metrics::{Cdf, Summary};
 use proptest::prelude::*;
 
+/// A 17-point downsampled series starts at the minimum, ends at the
+/// maximum with full mass, and is monotone in both coordinates.
+fn check_series(samples: Vec<f64>) -> Result<(), TestCaseError> {
+    let c = Cdf::new(samples);
+    let s = c.series(17);
+    prop_assert_eq!(s.len(), 17);
+    prop_assert_eq!(s[0].0, c.min().unwrap());
+    prop_assert_eq!(s[16].0, c.max().unwrap());
+    prop_assert_eq!(s[16].1, 1.0);
+    for w in s.windows(2) {
+        prop_assert!(w[1].0 >= w[0].0);
+        prop_assert!(w[1].1 >= w[0].1);
+    }
+    Ok(())
+}
+
+/// The shrunk failure proptest once recorded for
+/// `series_is_monotone_and_spans`: two samples, where interpolating the
+/// series' last point must still land exactly on the maximum.
+#[test]
+fn series_of_two_samples_ends_at_the_max() {
+    check_series(vec![29.240692751462518, 881.3933635449988]).unwrap();
+}
+
 proptest! {
     #[test]
     fn cdf_is_a_distribution_function(samples in proptest::collection::vec(-1e9f64..1e9, 1..200)) {
@@ -44,15 +68,6 @@ proptest! {
 
     #[test]
     fn series_is_monotone_and_spans(samples in proptest::collection::vec(0.0f64..1e3, 2..100)) {
-        let c = Cdf::new(samples);
-        let s = c.series(17);
-        prop_assert_eq!(s.len(), 17);
-        prop_assert_eq!(s[0].0, c.min().unwrap());
-        prop_assert_eq!(s[16].0, c.max().unwrap());
-        prop_assert_eq!(s[16].1, 1.0);
-        for w in s.windows(2) {
-            prop_assert!(w[1].0 >= w[0].0);
-            prop_assert!(w[1].1 >= w[0].1);
-        }
+        check_series(samples)?;
     }
 }

@@ -105,41 +105,6 @@ impl TenantCounters {
         self.peak_in_system = self.peak_in_system.max(other.peak_in_system);
     }
 
-    /// `k=v` pairs in a stable order, for stderr `TENANTS` lines.
-    pub fn to_kv(&self) -> String {
-        format!(
-            "admitted={} rejected_queue={} rejected_saturated={} preempted={} peak_in_system={}",
-            self.admitted,
-            self.rejected_queue,
-            self.rejected_saturated,
-            self.preempted,
-            self.peak_in_system
-        )
-    }
-
-    /// Parse [`TenantCounters::to_kv`] tokens back (unknown keys and
-    /// malformed tokens are ignored, so the format can grow).
-    pub fn from_kv<'a>(tokens: impl Iterator<Item = &'a str>) -> TenantCounters {
-        let mut c = TenantCounters::default();
-        for tok in tokens {
-            let Some((key, value)) = tok.split_once('=') else {
-                continue;
-            };
-            let Ok(v) = value.parse::<u64>() else {
-                continue;
-            };
-            match key {
-                "admitted" => c.admitted = v,
-                "rejected_queue" => c.rejected_queue = v,
-                "rejected_saturated" => c.rejected_saturated = v,
-                "preempted" => c.preempted = v,
-                "peak_in_system" => c.peak_in_system = v,
-                _ => {}
-            }
-        }
-        c
-    }
-
     /// The tally as a compact JSON object (for `BENCH_harness.json`).
     pub fn to_json_object(&self) -> String {
         format!(
@@ -219,14 +184,10 @@ mod tests {
         assert_eq!(b.rejected_saturated, 2);
         assert_eq!(b.preempted, 1);
         assert_eq!(b.peak_in_system, 7, "peak merges by max");
-        assert_eq!(
-            b.to_kv(),
-            "admitted=7 rejected_queue=1 rejected_saturated=2 preempted=1 peak_in_system=7"
-        );
     }
 
     #[test]
-    fn kv_roundtrips_and_json_matches() {
+    fn json_object_is_stable() {
         let c = TenantCounters {
             admitted: 9,
             rejected_queue: 2,
@@ -234,8 +195,6 @@ mod tests {
             preempted: 3,
             peak_in_system: 6,
         };
-        assert_eq!(TenantCounters::from_kv(c.to_kv().split_whitespace()), c);
-        assert_eq!(TenantCounters::from_kv("garbage x= =1 admitted=4".split_whitespace()).admitted, 4);
         assert_eq!(
             c.to_json_object(),
             "{\"admitted\": 9, \"rejected_queue\": 2, \"rejected_saturated\": 1, \"preempted\": 3, \"peak_in_system\": 6}"
