@@ -18,26 +18,59 @@
 
 use crate::topology::{LinkId, NodeId, Topology};
 
-/// Handle of an active flow. Never reused within one [`FlowNetwork`].
+/// Handle of an active flow. Not reused within one [`FlowNetwork`] until
+/// 2³² further flows have started.
+///
+/// The low 32 bits are the flow's slot in the network's slab (slots are
+/// recycled), the high 32 bits a per-network serial, so a stale handle to
+/// a recycled slot is still rejected.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct FlowId(pub u64);
 
+impl FlowId {
+    fn slot(self) -> usize {
+        self.0 as u32 as usize
+    }
+}
+
 #[derive(Clone, Debug)]
 struct Flow {
-    id: FlowId,
+    /// `None` while the slot is free.
+    id: Option<FlowId>,
     src: NodeId,
     dst: NodeId,
     route: Vec<LinkId>,
     rate: f64,
 }
 
+/// Reusable per-recompute working set, sized at the first recompute.
+#[derive(Clone, Debug, Default)]
+struct FillScratch {
+    residual: Vec<f64>,
+    unfrozen: Vec<u32>,
+    frozen: Vec<bool>,
+    loaded: Vec<u32>,
+}
+
 /// A set of concurrent flows over a capacitated topology, with max-min
 /// fair rate assignment.
+///
+/// Flows live in a slab indexed by [`FlowId`] slot, so lookups are O(1)
+/// and memory follows the peak number of concurrent flows, not the number
+/// ever started. Each link keeps the slots of the flows crossing it,
+/// updated on add and remove, so a recompute rebuilds nothing.
 #[derive(Clone, Debug)]
 pub struct FlowNetwork {
     capacities: Vec<f64>,
     flows: Vec<Flow>,
-    next_id: u64,
+    free_slots: Vec<u32>,
+    next_serial: u32,
+    /// Slots of the flows crossing each link, in no particular order
+    /// (empty until the first routed flow arrives).
+    link_flows: Vec<Vec<u32>>,
+    /// Flows with a non-empty route.
+    n_routed: usize,
+    scratch: Box<FillScratch>,
     /// Rates valid only when `clean`; recomputed lazily.
     clean: bool,
 }
@@ -45,43 +78,94 @@ pub struct FlowNetwork {
 impl FlowNetwork {
     /// An empty flow set over the links of `topo`.
     pub fn new(topo: &Topology) -> Self {
-        Self {
-            capacities: topo.links().iter().map(|l| l.capacity_bps).collect(),
-            flows: Vec::new(),
-            next_id: 0,
-            clean: true,
-        }
+        Self::with_capacities(topo.links().iter().map(|l| l.capacity_bps).collect())
     }
 
     /// An empty flow set over explicit link capacities (for tests).
     pub fn with_capacities(capacities: Vec<f64>) -> Self {
-        Self { capacities, flows: Vec::new(), next_id: 0, clean: true }
+        Self {
+            capacities,
+            flows: Vec::new(),
+            free_slots: Vec::new(),
+            next_serial: 0,
+            link_flows: Vec::new(),
+            n_routed: 0,
+            scratch: Box::default(),
+            clean: true,
+        }
     }
 
     /// Number of active flows.
     pub fn n_active(&self) -> usize {
-        self.flows.len()
+        self.flows.len() - self.free_slots.len()
     }
 
     /// Start a flow from `src` to `dst` along `route`. An empty route means
     /// a node-local transfer; such flows get an infinite rate and never
     /// bottleneck anything.
     pub fn add_flow(&mut self, src: NodeId, dst: NodeId, route: &[LinkId]) -> FlowId {
-        let id = FlowId(self.next_id);
-        self.next_id += 1;
-        self.flows.push(Flow { id, src, dst, route: route.to_vec(), rate: f64::INFINITY });
+        let slot = match self.free_slots.pop() {
+            Some(s) => s,
+            None => {
+                self.flows.push(Flow {
+                    id: None,
+                    src,
+                    dst,
+                    route: Vec::new(),
+                    rate: f64::INFINITY,
+                });
+                u32::try_from(self.flows.len() - 1).expect("flow slots fit in u32")
+            }
+        };
+        let id = FlowId(((self.next_serial as u64) << 32) | slot as u64);
+        self.next_serial = self.next_serial.wrapping_add(1);
+        let f = &mut self.flows[slot as usize];
+        f.id = Some(id);
+        f.src = src;
+        f.dst = dst;
+        f.route.clear();
+        f.route.extend_from_slice(route);
+        f.rate = f64::INFINITY;
+        if !route.is_empty() {
+            if self.link_flows.is_empty() {
+                self.link_flows.resize_with(self.capacities.len(), Vec::new);
+            }
+            for l in route {
+                self.link_flows[l.idx()].push(slot);
+            }
+            self.n_routed += 1;
+        }
         self.clean = false;
         id
     }
 
+    /// The slab slot of live flow `id`; panics with "unknown flow id"
+    /// otherwise.
+    fn slot_of(&self, id: FlowId, what: &str) -> usize {
+        let slot = id.slot();
+        match self.flows.get(slot) {
+            Some(f) if f.id == Some(id) => slot,
+            _ => panic!("{what}: unknown flow id {id:?}"),
+        }
+    }
+
     /// Remove a finished or cancelled flow. Panics on unknown id.
     pub fn remove_flow(&mut self, id: FlowId) {
-        let pos = self
-            .flows
-            .iter()
-            .position(|f| f.id == id)
-            .expect("remove_flow: unknown flow id");
-        self.flows.swap_remove(pos);
+        let slot = self.slot_of(id, "remove_flow");
+        let f = &mut self.flows[slot];
+        f.id = None;
+        for l in &f.route {
+            let list = &mut self.link_flows[l.idx()];
+            let pos = list
+                .iter()
+                .position(|&s| s as usize == slot)
+                .expect("routed flow is on its links' lists");
+            list.swap_remove(pos);
+        }
+        if !f.route.is_empty() {
+            self.n_routed -= 1;
+        }
+        self.free_slots.push(slot as u32);
         self.clean = false;
     }
 
@@ -89,27 +173,35 @@ impl FlowNetwork {
     /// flow set changed. Panics on unknown id.
     pub fn rate(&mut self, id: FlowId) -> f64 {
         self.ensure_rates();
-        self.flows
+        self.flows[self.slot_of(id, "rate")].rate
+    }
+
+    /// A lower bound on the rate `id` gets, available without a recompute:
+    /// the equal share of the tightest link on its path. Max-min fairness
+    /// guarantees it — a flow's bottleneck link is saturated and no flow on
+    /// it gets more, so the flow gets at least `capacity / flows` there.
+    /// Infinite for a node-local flow. Panics on unknown id.
+    pub fn rate_floor(&self, id: FlowId) -> f64 {
+        let f = &self.flows[self.slot_of(id, "rate_floor")];
+        f.route
             .iter()
-            .find(|f| f.id == id)
-            .expect("rate: unknown flow id")
-            .rate
+            .map(|l| self.capacities[l.idx()] / self.link_flows[l.idx()].len() as f64)
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// Endpoints of `id`.
     pub fn endpoints(&self, id: FlowId) -> (NodeId, NodeId) {
-        let f = self
-            .flows
-            .iter()
-            .find(|f| f.id == id)
-            .expect("endpoints: unknown flow id");
+        let f = &self.flows[self.slot_of(id, "endpoints")];
         (f.src, f.dst)
     }
 
-    /// Recompute (if needed) and iterate all `(id, src, dst, rate)` tuples.
+    /// Recompute (if needed) and iterate all `(id, src, dst, rate)` tuples,
+    /// in no particular order.
     pub fn rates(&mut self) -> impl Iterator<Item = (FlowId, NodeId, NodeId, f64)> + '_ {
         self.ensure_rates();
-        self.flows.iter().map(|f| (f.id, f.src, f.dst, f.rate))
+        self.flows
+            .iter()
+            .filter_map(|f| f.id.map(|id| (id, f.src, f.dst, f.rate)))
     }
 
     /// Force recomputation now (no-op if rates are current).
@@ -123,45 +215,38 @@ impl FlowNetwork {
 
     /// Progressive filling. O(L·B + F·P) where L = links carrying flows,
     /// B = bottleneck iterations (≤ L), F = flows, P = path length.
+    ///
+    /// The result does not depend on the order of flows within a link's
+    /// list: every flow frozen in one step gets the same `share` and
+    /// subtracts that same value from each link it crosses, and the
+    /// bottleneck is the first strict minimum in ascending link order.
     fn recompute(&mut self) {
-        let n_links = self.capacities.len();
-        // Per-link state: residual capacity + unfrozen flow count.
-        let mut residual = self.capacities.clone();
-        let mut unfrozen_count = vec![0u32; n_links];
-        // Per-link list of flow indices (rebuilt each recompute; cheaper and
-        // simpler than incremental maintenance at our flow churn rates).
-        let mut link_flows: Vec<Vec<u32>> = vec![Vec::new(); n_links];
-        let mut frozen = vec![false; self.flows.len()];
-
-        for (fi, f) in self.flows.iter_mut().enumerate() {
-            if f.route.is_empty() {
-                // Node-local transfer: unconstrained.
-                f.rate = f64::INFINITY;
-                frozen[fi] = true;
-            } else {
-                for l in &f.route {
-                    unfrozen_count[l.idx()] += 1;
-                    link_flows[l.idx()].push(fi as u32);
-                }
-            }
+        // Node-local flows keep the infinite rate `add_flow` gave them.
+        if self.n_routed == 0 {
+            return;
         }
-
+        let FillScratch { residual, unfrozen, frozen, loaded } = &mut *self.scratch;
+        residual.clear();
+        residual.extend_from_slice(&self.capacities);
+        unfrozen.clear();
+        unfrozen.extend(self.link_flows.iter().map(|l| l.len() as u32));
+        frozen.clear();
+        frozen.resize(self.flows.len(), false);
         // Only links carrying ≥ 1 flow can ever be the bottleneck; scan that
-        // (usually tiny) ascending subset instead of all `n_links`. Ascending
+        // (usually tiny) ascending subset instead of all links. Ascending
         // order preserves the exact first-strict-minimum selection of the
-        // full scan, so allocations — and simulation traces — are unchanged.
-        let mut loaded: Vec<u32> = (0..n_links as u32)
-            .filter(|&l| unfrozen_count[l as usize] > 0)
-            .collect();
-        let mut remaining = frozen.iter().filter(|f| !**f).count();
+        // full scan.
+        loaded.clear();
+        loaded.extend((0..unfrozen.len() as u32).filter(|&l| unfrozen[l as usize] > 0));
+        let mut remaining = self.n_routed;
         while remaining > 0 {
             // Find the bottleneck link: the smallest equal share.
             let mut best_link = usize::MAX;
             let mut best_share = f64::INFINITY;
-            loaded.retain(|&l| unfrozen_count[l as usize] > 0);
-            for &l in &loaded {
+            loaded.retain(|&l| unfrozen[l as usize] > 0);
+            for &l in loaded.iter() {
                 let l = l as usize;
-                let share = residual[l] / unfrozen_count[l] as f64;
+                let share = residual[l] / unfrozen[l] as f64;
                 if share < best_share {
                     best_share = share;
                     best_link = l;
@@ -170,18 +255,19 @@ impl FlowNetwork {
             debug_assert!(best_link != usize::MAX, "unfrozen flows but no loaded link");
             let share = best_share.max(0.0);
             // Freeze every unfrozen flow crossing the bottleneck.
-            for &fi in &link_flows[best_link] {
-                let fi = fi as usize;
-                if frozen[fi] {
+            for &slot in &self.link_flows[best_link] {
+                let slot = slot as usize;
+                if frozen[slot] {
                     continue;
                 }
-                frozen[fi] = true;
+                frozen[slot] = true;
                 remaining -= 1;
-                self.flows[fi].rate = share;
-                for l in &self.flows[fi].route {
+                let f = &mut self.flows[slot];
+                f.rate = share;
+                for l in &f.route {
                     let li = l.idx();
                     residual[li] = (residual[li] - share).max(0.0);
-                    unfrozen_count[li] -= 1;
+                    unfrozen[li] -= 1;
                 }
             }
         }
@@ -206,7 +292,7 @@ impl FlowNetwork {
         self.ensure_rates();
         self.flows
             .iter()
-            .filter(|f| f.route.contains(&link))
+            .filter(|f| f.id.is_some() && f.route.contains(&link))
             .map(|f| f.rate)
             .sum()
     }

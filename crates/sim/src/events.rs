@@ -19,6 +19,16 @@
 //!
 //! The regression tests below pin both properties by shuffling insertion
 //! orders and asserting pop order follows `(time, insertion)` exactly.
+//!
+//! # Reserved sequence numbers
+//!
+//! [`EventQueue::reserve`] takes the next sequence number without pushing
+//! anything; [`EventQueue::push_reserved`] later pushes an event under it.
+//! The event then pops exactly where a push at reservation time would
+//! have — the runner uses this to decide an event's time after the fact
+//! (one transfer wake-up per dispatched event) without moving it in the
+//! tie order. A reservation that is never pushed leaves a gap in the
+//! sequence, which changes no relative order.
 
 use pnats_net::NodeId;
 use std::cmp::Ordering;
@@ -161,6 +171,22 @@ impl EventQueue {
         self.seq += 1;
     }
 
+    /// Take the next sequence number without pushing an event; pass it to
+    /// [`EventQueue::push_reserved`] (or drop it).
+    pub fn reserve(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// Schedule `kind` at `t` under a sequence number taken earlier with
+    /// [`EventQueue::reserve`]: it ties with other same-time events as if
+    /// it had been pushed at reservation time.
+    pub fn push_reserved(&mut self, t: f64, seq: u64, kind: EventKind) {
+        assert!(t.is_finite() && t >= 0.0, "event time must be finite: {t}");
+        debug_assert!(seq < self.seq, "sequence number {seq} was never reserved");
+        self.heap.push(Entry { t, seq, kind });
+    }
+
     /// Pop the earliest event as `(time, kind)`.
     pub fn pop(&mut self) -> Option<(f64, EventKind)> {
         self.heap.pop().map(|e| (e.t, e.kind))
@@ -259,6 +285,72 @@ mod tests {
             let expect: Vec<EventKind> = perm.iter().map(|&i| kinds[i]).collect();
             assert_eq!(popped, expect, "perm {perm:?}: ties must pop FIFO");
         }
+    }
+
+    /// An event pushed late under a reserved sequence number pops exactly
+    /// where pushing it at reservation time would have put it, for any
+    /// shuffled set of same- and different-time neighbours.
+    #[test]
+    fn reserved_push_pops_where_an_immediate_push_would() {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let wake = EventKind::TransferWake { version: 3 };
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5E0);
+        for round in 0..64 {
+            // Neighbours at the wake's time and around it, in random order;
+            // the wake is "armed" after `armed_at` of them.
+            let mut others: Vec<(f64, EventKind)> = (0..8)
+                .map(|i| (1.0 + (i % 3) as f64, EventKind::Heartbeat { node: NodeId(i) }))
+                .collect();
+            others.shuffle(&mut rng);
+            let armed_at = round % (others.len() + 1);
+            let wake_t = 2.0;
+
+            let mut eager = EventQueue::new();
+            for (i, &(t, kind)) in others.iter().enumerate() {
+                if i == armed_at {
+                    eager.push(wake_t, wake);
+                }
+                eager.push(t, kind);
+            }
+            if armed_at == others.len() {
+                eager.push(wake_t, wake);
+            }
+
+            let mut deferred = EventQueue::new();
+            let mut seq = None;
+            for (i, &(t, kind)) in others.iter().enumerate() {
+                if i == armed_at {
+                    seq = Some(deferred.reserve());
+                }
+                deferred.push(t, kind);
+            }
+            let seq = seq.unwrap_or_else(|| deferred.reserve());
+            deferred.push_reserved(wake_t, seq, wake);
+
+            let a: Vec<(f64, EventKind)> = std::iter::from_fn(|| eager.pop()).collect();
+            let b: Vec<(f64, EventKind)> = std::iter::from_fn(|| deferred.pop()).collect();
+            assert_eq!(a, b, "round {round}: reserved push moved in the pop order");
+        }
+    }
+
+    /// A reservation that is never used leaves every other event's pop
+    /// order untouched.
+    #[test]
+    fn unused_reservation_changes_nothing() {
+        let mut a = EventQueue::new();
+        let mut b = EventQueue::new();
+        for i in 0..6u32 {
+            let kind = EventKind::Heartbeat { node: NodeId(i) };
+            a.push(1.0, kind);
+            if i == 2 {
+                b.reserve();
+            }
+            b.push(1.0, kind);
+        }
+        let pa: Vec<_> = std::iter::from_fn(|| a.pop()).collect();
+        let pb: Vec<_> = std::iter::from_fn(|| b.pop()).collect();
+        assert_eq!(pa, pb);
     }
 
     #[test]
