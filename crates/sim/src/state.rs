@@ -9,8 +9,10 @@
 //! The collections here are sized for 10k-node / 1M-task runs: pending
 //! task queues are intrusive [`PendingList`]s (O(1) remove), shuffle
 //! bookkeeping is indexed per source node instead of linearly scanned,
-//! per-node tables (`done_by_node`, `local_maps`) are sparse maps instead
-//! of `O(n_nodes)` vectors per job, and aggregate map progress is an
+//! per-node tables are sparse instead of `O(n_nodes)` vectors per job —
+//! `local_maps` a map, `done_by_node` one row per node that ever held
+//! finished output, aligned with the sorted `output_nodes` so reduce
+//! offers read it without hashing — and aggregate map progress is an
 //! integer counter instead of an `O(maps)` sweep. Every replacement
 //! preserves the iteration order and membership of the structure it
 //! replaced, so decision traces are byte-identical.
@@ -351,14 +353,14 @@ pub struct JobState {
     pub local_maps: HashMap<u32, Vec<u32>>,
     /// Unassigned reduce tasks in offer order.
     pub unassigned_reduces: PendingList,
-    /// Aggregate finished-map output bytes per node, indexed
-    /// `[partition]` within each entry (incrementally maintained so reduce
-    /// contexts build in O(output nodes + running maps) instead of
-    /// O(all maps)). Sparse companion of `output_nodes`.
-    pub done_by_node: HashMap<u32, Vec<f64>>,
+    /// Aggregate finished-map output bytes of each node in
+    /// `output_nodes` (same position), indexed `[partition]` within each
+    /// row; a row is emptied when its node's disks are lost. Incrementally
+    /// maintained so reduce contexts build in O(output nodes + running
+    /// maps) instead of O(all maps).
+    pub done_by_node: Vec<Vec<f64>>,
     /// Ascending list of nodes that have ever held finished map output of
-    /// this job — the iteration order for `done_by_node` (which a hash map
-    /// cannot provide deterministically).
+    /// this job.
     pub output_nodes: Vec<u32>,
     /// Indices of currently running (placed, unfinished) map tasks.
     pub running_maps: Vec<usize>,
@@ -441,7 +443,7 @@ impl JobState {
             unassigned_maps: PendingList::full(input.block_sizes.len()),
             local_maps,
             unassigned_reduces: PendingList::full(input.n_reduces),
-            done_by_node: HashMap::new(),
+            done_by_node: Vec::new(),
             output_nodes: Vec::new(),
             running_maps: Vec::new(),
             input_total,
@@ -522,15 +524,17 @@ impl JobState {
         self.maps_finished += 1;
         self.input_done += self.maps[map].block;
         let nid = node.idx() as u32;
-        let agg = self.done_by_node.entry(nid).or_default();
+        let pos = self.output_nodes.binary_search(&nid).unwrap_or_else(|pos| {
+            self.output_nodes.insert(pos, nid);
+            self.done_by_node.insert(pos, Vec::new());
+            pos
+        });
+        let agg = &mut self.done_by_node[pos];
         if agg.is_empty() {
             agg.resize(self.reduces.len(), 0.0);
         }
         for (f, slot) in agg.iter_mut().enumerate() {
             *slot += self.maps[map].final_bytes_for(f);
-        }
-        if let Err(pos) = self.output_nodes.binary_search(&nid) {
-            self.output_nodes.insert(pos, nid);
         }
     }
 
@@ -551,8 +555,8 @@ impl JobState {
     /// every reader, matching the old dense table whose entry was cleared
     /// in place.
     pub fn clear_node_output(&mut self, node: NodeId) {
-        if let Some(agg) = self.done_by_node.get_mut(&(node.idx() as u32)) {
-            agg.clear();
+        if let Ok(pos) = self.output_nodes.binary_search(&(node.idx() as u32)) {
+            self.done_by_node[pos].clear();
         }
     }
 
@@ -561,9 +565,8 @@ impl JobState {
     /// feeding takes over). Ascending node order, like the dense sweep it
     /// replaces.
     pub fn enqueue_finished_outputs(&mut self, f: usize) {
-        for i in 0..self.output_nodes.len() {
-            let nid = self.output_nodes[i];
-            let Some(bytes) = self.done_by_node.get(&nid).and_then(|a| a.get(f)).copied() else {
+        for (&nid, row) in self.output_nodes.iter().zip(&self.done_by_node) {
+            let Some(&bytes) = row.get(f) else {
                 continue;
             };
             if bytes > 0.0 {
@@ -579,8 +582,8 @@ impl JobState {
     /// comparison is about).
     pub fn shuffle_sources(&self, f: usize, t: f64, out: &mut Vec<ShuffleSource>) {
         out.clear();
-        for &nid in &self.output_nodes {
-            let Some(bytes) = self.done_by_node.get(&nid).and_then(|a| a.get(f)) else {
+        for (&nid, row) in self.output_nodes.iter().zip(&self.done_by_node) {
+            let Some(bytes) = row.get(f) else {
                 continue;
             };
             if *bytes > 0.0 {
@@ -682,7 +685,8 @@ mod tests {
         j.complete_map(0, NodeId(2), 1.0);
         assert!(j.running_maps.is_empty());
         assert_eq!(j.output_nodes, vec![2]);
-        let total: f64 = j.done_by_node[&2].iter().sum();
+        assert_eq!(j.done_by_node.len(), 1, "one row per output node");
+        let total: f64 = j.done_by_node[0].iter().sum();
         let expect = j.maps[0].block as f64 * j.maps[0].selectivity;
         assert!((total - expect).abs() < 1e-6);
     }
