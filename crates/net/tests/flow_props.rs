@@ -2,9 +2,15 @@
 //! sets on arbitrary tree topologies, the allocation must be feasible
 //! (no link over capacity), positive, and max-min fair in the bottleneck
 //! sense (no flow can be raised without lowering a smaller-or-equal flow).
+//! A differential property pins the incremental bookkeeping (slab slots,
+//! per-link flow lists, reused fill scratch): after any sequence of adds,
+//! removes and capacity changes, every rate is bit-equal to that of a
+//! network built from scratch with the same flows in a shuffled order.
 
 use pnats_net::{FlowId, FlowNetwork, LinkId, NodeId, RoutingTable, Topology};
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 fn topo_strategy() -> impl Strategy<Value = Topology> {
     prop_oneof![
@@ -102,8 +108,119 @@ fn removing_a_flow_on_one_switch_keeps_the_rest_max_min_fair() {
     check_bottlenecks(&topo, &routes, &mut fx, &flows).unwrap();
 }
 
+/// Apply `ops` to a fresh network — `(0..=5, a, b, x)`: kinds 0–2 add a
+/// flow between nodes `a` and `b` (node-local when they coincide), kind 3
+/// removes the live flow at index `a`, kind 4 sets link `a`'s capacity to
+/// `x` × nominal, kind 5 refills the rates (as the simulator does between
+/// mutations) — then rebuild the surviving flows in an order shuffled by
+/// `seed` and require bit-equal rates.
+fn check_matches_rebuild(
+    topo: &Topology,
+    ops: &[(u32, usize, usize, f64)],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let routes = RoutingTable::new(topo);
+    let n = topo.n_nodes();
+    let n_links = topo.links().len();
+    let mut fx = FlowNetwork::new(topo);
+    let mut caps: Vec<f64> = topo.links().iter().map(|l| l.capacity_bps).collect();
+    let mut live: Vec<(FlowId, NodeId, NodeId)> = Vec::new();
+    for &(kind, a, b, x) in ops {
+        match kind {
+            0..=2 => {
+                let (src, dst) = (NodeId((a % n) as u32), NodeId((b % n) as u32));
+                live.push((fx.add_flow(src, dst, routes.route(src, dst)), src, dst));
+            }
+            3 if !live.is_empty() => {
+                let (id, _, _) = live.remove(a % live.len());
+                fx.remove_flow(id);
+            }
+            3 => {}
+            5 => fx.ensure_rates(),
+            _ => {
+                let l = a % n_links;
+                caps[l] = topo.capacity(LinkId(l as u32)) * x;
+                fx.set_capacity(LinkId(l as u32), caps[l]);
+            }
+        }
+    }
+    let mut order: Vec<usize> = (0..live.len()).collect();
+    order.shuffle(&mut rand::rngs::SmallRng::seed_from_u64(seed));
+    let mut fresh = FlowNetwork::with_capacities(caps);
+    let mut fresh_ids = vec![None; live.len()];
+    for &i in &order {
+        let (_, src, dst) = live[i];
+        fresh_ids[i] = Some(fresh.add_flow(src, dst, routes.route(src, dst)));
+    }
+    prop_assert_eq!(fx.n_active(), live.len());
+    for (i, &(id, src, dst)) in live.iter().enumerate() {
+        let got = fx.rate(id);
+        let want = fresh.rate(fresh_ids[i].expect("rebuilt"));
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "flow {} ({:?}->{:?}): {} vs {}", i, src, dst, got, want);
+        prop_assert!(fx.rate_floor(id) <= got * (1.0 + 1e-12), "floor above rate");
+    }
+    Ok(())
+}
+
+#[test]
+#[should_panic(expected = "unknown flow id")]
+fn rate_of_a_removed_flow_panics() {
+    let topo = Topology::single_rack(3, 1e8);
+    let routes = RoutingTable::new(&topo);
+    let mut fx = FlowNetwork::new(&topo);
+    let id = fx.add_flow(NodeId(0), NodeId(1), routes.route(NodeId(0), NodeId(1)));
+    fx.remove_flow(id);
+    fx.rate(id);
+}
+
+#[test]
+#[should_panic(expected = "unknown flow id")]
+fn endpoints_of_a_removed_flow_panics() {
+    let topo = Topology::single_rack(3, 1e8);
+    let routes = RoutingTable::new(&topo);
+    let mut fx = FlowNetwork::new(&topo);
+    let id = fx.add_flow(NodeId(0), NodeId(1), routes.route(NodeId(0), NodeId(1)));
+    fx.remove_flow(id);
+    fx.endpoints(id);
+}
+
+#[test]
+#[should_panic(expected = "unknown flow id")]
+fn removing_a_flow_twice_panics() {
+    let topo = Topology::single_rack(3, 1e8);
+    let routes = RoutingTable::new(&topo);
+    let mut fx = FlowNetwork::new(&topo);
+    let id = fx.add_flow(NodeId(0), NodeId(1), routes.route(NodeId(0), NodeId(1)));
+    fx.remove_flow(id);
+    fx.remove_flow(id);
+}
+
+/// A removed flow's slot is reused by the next flow, but the old handle
+/// must not reach the new flow.
+#[test]
+#[should_panic(expected = "unknown flow id")]
+fn a_removed_flows_handle_does_not_reach_its_slots_next_flow() {
+    let topo = Topology::single_rack(3, 1e8);
+    let routes = RoutingTable::new(&topo);
+    let mut fx = FlowNetwork::new(&topo);
+    let old = fx.add_flow(NodeId(0), NodeId(1), routes.route(NodeId(0), NodeId(1)));
+    fx.remove_flow(old);
+    let new = fx.add_flow(NodeId(1), NodeId(2), routes.route(NodeId(1), NodeId(2)));
+    assert_ne!(old, new);
+    fx.rate(old);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn incremental_rates_equal_a_shuffled_rebuild(
+        topo in topo_strategy(),
+        ops in proptest::collection::vec((0u32..6, 0usize..64, 0usize..64, 0.05f64..1.0), 1..80),
+        seed in 0u64..u64::MAX,
+    ) {
+        check_matches_rebuild(&topo, &ops, seed)?;
+    }
 
     #[test]
     fn allocation_is_feasible_and_positive(
