@@ -14,7 +14,7 @@
 //!   §II-B2 fixes). Launches are *gradual*, coupled to map progress.
 
 use pnats_core::context::{MapSchedContext, ReduceSchedContext};
-use pnats_core::cost::reduce_cost;
+use pnats_core::cost::{reduce_cost, reduce_costs_over};
 use pnats_core::estimate::IntermediateEstimator;
 use pnats_core::placer::{Decision, SkipReason, TaskPlacer};
 use pnats_core::types::ReduceTaskId;
@@ -38,6 +38,8 @@ pub struct CouplingPlacer {
     pub heartbeat_s: f64,
     /// First time each pending reduce was offered a non-centrality slot.
     first_offer: HashMap<ReduceTaskId, f64>,
+    /// Per-free-node reduce costs of the current offer (reused buffer).
+    free_costs: Vec<f64>,
 }
 
 impl CouplingPlacer {
@@ -46,7 +48,14 @@ impl CouplingPlacer {
     pub fn new(p_rack: f64, p_remote: f64, max_postpone: u32, heartbeat_s: f64) -> Self {
         assert!((0.0..=1.0).contains(&p_rack) && (0.0..=1.0).contains(&p_remote));
         assert!(heartbeat_s > 0.0);
-        Self { p_rack, p_remote, max_postpone, heartbeat_s, first_offer: HashMap::new() }
+        Self {
+            p_rack,
+            p_remote,
+            max_postpone,
+            heartbeat_s,
+            first_offer: HashMap::new(),
+            free_costs: Vec::new(),
+        }
     }
 
     /// The configuration matching the paper's description: wait at most
@@ -132,12 +141,13 @@ impl TaskPlacer for CouplingPlacer {
         // Centrality test on *current* sizes and the COARSE node/rack cost
         // ladder — Coupling cannot see switch structure or congestion; that
         // granularity gap is precisely what the paper's method adds.
-        let coarse = RackLadderCost::hadoop(ctx.layout.clone());
+        let coarse = RackLadderCost::hadoop(ctx.layout);
         let here = reduce_cost(cand, node, &coarse, est);
-        let min_free = ctx
-            .free_reduce_nodes
+        reduce_costs_over(cand, ctx.free_reduce_nodes, &coarse, est, &mut self.free_costs);
+        let min_free = self
+            .free_costs
             .iter()
-            .map(|&k| reduce_cost(cand, k, &coarse, est))
+            .copied()
             .min_by(f64::total_cmp)
             .unwrap_or(0.0);
         let is_centrality = here <= min_free * 1.0001 + f64::EPSILON;

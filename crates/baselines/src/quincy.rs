@@ -16,7 +16,7 @@
 
 use crate::mcmf::assignment;
 use pnats_core::context::{MapSchedContext, ReduceSchedContext};
-use pnats_core::cost::{map_cost, reduce_cost};
+use pnats_core::cost::{map_cost, reduce_costs_over};
 use pnats_core::estimate::IntermediateEstimator;
 use pnats_core::placer::{Decision, SkipReason, TaskPlacer};
 use pnats_net::NodeId;
@@ -84,14 +84,13 @@ impl TaskPlacer for QuincyPlacer {
         let Some(here) = slots.iter().position(|&k| k == node) else {
             return Decision::Skip(SkipReason::NoCandidate);
         };
+        let mut per_slot = Vec::with_capacity(slots.len());
         let costs: Vec<Vec<i64>> = ctx
             .candidates
             .iter()
             .map(|c| {
-                slots
-                    .iter()
-                    .map(|&k| to_int(reduce_cost(c, k, ctx.cost, est)))
-                    .collect()
+                reduce_costs_over(c, &slots, ctx.cost, est, &mut per_slot);
+                per_slot.iter().map(|&v| to_int(v)).collect()
             })
             .collect();
         let caps = vec![1usize; slots.len()];

@@ -36,6 +36,22 @@ pub fn set_keys(path: impl AsRef<Path>, entries: &[(&str, String)]) -> Result<()
     std::fs::write(path, text).map_err(|e| format!("write {}: {e}", path.display()))
 }
 
+/// Record a run's keys in `path` through [`set_keys`] — unless the run is
+/// a smoke run. Smoke runs measure shrunken inputs; their numbers would
+/// overwrite the committed full-run sections, so they leave the file's
+/// bytes untouched. Returns whether the file was written.
+pub fn record(
+    path: impl AsRef<Path>,
+    entries: &[(&str, String)],
+    smoke: bool,
+) -> Result<bool, String> {
+    if smoke {
+        return Ok(false);
+    }
+    set_keys(path, entries)?;
+    Ok(true)
+}
+
 /// The top-level `(key, raw value text)` members of a JSON object.
 fn members(text: &str) -> Result<Vec<(String, String)>, String> {
     validate_json(text)?;
@@ -138,6 +154,18 @@ mod tests {
         assert_eq!(keys, ["scale_sweep", "counters", "total_wall_s"]);
         assert_eq!(got[0].1, section);
         assert_eq!(got[1].1, multi_line);
+    }
+
+    #[test]
+    fn smoke_runs_leave_the_file_bytes_alone() {
+        let path = scratch("smoke.json");
+        let committed = "{\n  \"scale_sweep\": {\"smoke\": false, \"cells\": [1, 2]}\n}\n";
+        std::fs::write(&path, committed).unwrap();
+        let section = [("scale_sweep", "{\"smoke\": true, \"cells\": [1]}".to_string())];
+        assert!(!record(&path, &section, true).unwrap());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), committed);
+        assert!(record(&path, &section, false).unwrap());
+        assert_ne!(std::fs::read_to_string(&path).unwrap(), committed);
     }
 
     #[test]

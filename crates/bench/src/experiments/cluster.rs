@@ -216,7 +216,8 @@ fn kill_reference(seed: u64, input: &str) -> Result<Vec<(String, String)>, Strin
 ///
 /// Also measures **failover latency** — tracker kill → first
 /// post-recovery assignment — and records mean/p99 in
-/// `BENCH_cluster.json`. `--smoke` runs two kill points instead of four.
+/// `BENCH_cluster.json`. `--smoke` runs two kill points instead of four
+/// and leaves `BENCH_cluster.json` untouched.
 pub fn tracker_failover(ctx: &mut Ctx, seed: u64, smoke: bool) -> Result<(), String> {
     const WORDS: &[&str] = &[
         "failover", "journal", "replay", "reattach", "orphan", "epoch", "ledger", "tracker",
@@ -281,13 +282,14 @@ pub fn tracker_failover(ctx: &mut Ctx, seed: u64, smoke: bool) -> Result<(), Str
     }
     let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
     let p99 = latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)];
-    bench_json::set_keys(
+    let written = bench_json::record(
         "BENCH_cluster.json",
         &[
             ("failover_trials", latencies.len().to_string()),
             ("failover_ms_mean", format!("{mean:.1}")),
             ("failover_ms_p99", format!("{p99:.1}")),
         ],
+        smoke,
     )?;
     ctx.println(format!(
         "tracker_failover ok seed={seed} smoke={smoke} trials={} failover_ms_mean={mean:.1} \
@@ -295,7 +297,11 @@ pub fn tracker_failover(ctx: &mut Ctx, seed: u64, smoke: bool) -> Result<(), Str
         latencies.len(),
         wall.elapsed().as_secs_f64()
     ));
-    ctx.println("Failover latency merged into BENCH_cluster.json");
+    ctx.println(if written {
+        "Failover latency merged into BENCH_cluster.json"
+    } else {
+        "Smoke run: BENCH_cluster.json left untouched"
+    });
     Ok(())
 }
 

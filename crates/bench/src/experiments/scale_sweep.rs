@@ -19,7 +19,8 @@
 //!
 //! `--smoke` runs only the 1k-node / 100k-task column (all three
 //! schedulers) and enforces a wall-clock budget — the CI guard against
-//! accidentally regressing the tick loop back to quadratic scans.
+//! accidentally regressing the tick loop back to quadratic scans. A smoke
+//! run leaves `BENCH_harness.json` untouched.
 
 use crate::bench_json;
 use crate::harness::{run_matrix_with, Ctx, Run, SchedulerKind};
@@ -188,8 +189,12 @@ pub fn run(ctx: &mut Ctx, seed: u64, smoke: bool) -> Result<(), String> {
         "{{\"seed\": \"{seed}\", \"smoke\": {smoke}, \"total_wall_s\": {total_wall_s:.3}, \"cells\": [{}]}}",
         cell_json.join(", ")
     );
-    bench_json::set_keys("BENCH_harness.json", &[("scale_sweep", section)])?;
-    eprintln!("Scale sweep completed in {total_wall_s:.1}s; results folded into BENCH_harness.json");
+    let where_to = if bench_json::record("BENCH_harness.json", &[("scale_sweep", section)], smoke)? {
+        "results folded into BENCH_harness.json"
+    } else {
+        "smoke run, BENCH_harness.json left untouched"
+    };
+    eprintln!("Scale sweep completed in {total_wall_s:.1}s; {where_to}");
 
     if smoke {
         assert!(

@@ -22,7 +22,8 @@
 //!
 //! `--smoke` runs the lightest and heaviest rates on shrunken jobs and
 //! enforces a wall-clock budget — the CI guard that service mode stays
-//! cheap enough to gate on.
+//! cheap enough to gate on. A smoke run leaves `BENCH_harness.json`
+//! untouched.
 
 use crate::bench_json;
 use crate::harness::{cloud_config, run_matrix, Ctx, Run, SchedulerKind};
@@ -233,10 +234,13 @@ pub fn run(ctx: &mut Ctx, seed: u64, smoke: bool) -> Result<(), String> {
         "{{\"seed\": \"{seed}\", \"smoke\": {smoke}, \"total_wall_s\": {total_wall_s:.3}, \"levels\": [{}]}}",
         level_json.join(", ")
     );
-    bench_json::set_keys("BENCH_harness.json", &[("tenant_service", section)])?;
-    eprintln!(
-        "Tenant service sweep completed in {total_wall_s:.1}s; results folded into BENCH_harness.json"
-    );
+    let where_to =
+        if bench_json::record("BENCH_harness.json", &[("tenant_service", section)], smoke)? {
+            "results folded into BENCH_harness.json"
+        } else {
+            "smoke run, BENCH_harness.json left untouched"
+        };
+    eprintln!("Tenant service sweep completed in {total_wall_s:.1}s; {where_to}");
 
     if smoke {
         assert!(

@@ -54,9 +54,32 @@ pub fn reduce_cost(
         .sum()
 }
 
+/// Formula (3) at every node of `nodes` in one pass per source:
+/// `out[k] = reduce_cost(c, nodes[k], cost, est)`, bit for bit.
+///
+/// Each `out[k]` starts at `-0.0` (the neutral element `f64`'s `Sum`
+/// folds from) and receives the same products in the same source order as
+/// [`reduce_cost`]'s fold, so the sums are identical — only the loop
+/// nesting is swapped. Each source's estimate is computed once and its row
+/// is read through [`PathCost::add_costs_from`]. `out` is overwritten.
+pub fn reduce_costs_over(
+    c: &ReduceCandidate,
+    nodes: &[NodeId],
+    cost: &dyn PathCost,
+    est: IntermediateEstimator,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.resize(nodes.len(), -0.0);
+    for s in &c.sources {
+        cost.add_costs_from(s.node, nodes, est.estimate(s), out);
+    }
+}
+
 /// `C_r_ave` (Algorithm 2, line 7): expected cost of assigning reduce
 /// candidate `c` uniformly over the nodes with free reduce slots:
-/// `Σ_{k=1}^{N_r} C_r(k,f) / N_r`.
+/// `Σ_{k=1}^{N_r} C_r(k,f) / N_r`, with the per-node costs from
+/// [`reduce_costs_over`].
 pub fn reduce_cost_avg(
     c: &ReduceCandidate,
     free_nodes: &[NodeId],
@@ -66,10 +89,9 @@ pub fn reduce_cost_avg(
     if free_nodes.is_empty() {
         return f64::INFINITY;
     }
-    let sum: f64 = free_nodes
-        .iter()
-        .map(|&k| reduce_cost(c, k, cost, est))
-        .sum();
+    let mut per_node = Vec::new();
+    reduce_costs_over(c, free_nodes, cost, est, &mut per_node);
+    let sum: f64 = per_node.iter().sum();
     sum / free_nodes.len() as f64
 }
 

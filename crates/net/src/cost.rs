@@ -5,7 +5,7 @@
 //! rates (§II-B3). [`PathCost`] is that pluggable `h_ab`: schedulers are
 //! written once against it and evaluated under either metric.
 
-use crate::topology::NodeId;
+use crate::topology::{ClusterLayout, NodeId, RackId};
 
 /// Per-byte transfer cost of the path between two data nodes.
 ///
@@ -27,6 +27,17 @@ pub trait PathCost: Sync {
     fn version(&self) -> u64 {
         0
     }
+
+    /// Source-major accumulation: `acc[k] += scale * path_cost(a, to[k])`
+    /// for every `k`, in order. Metrics with a cheaper row access override
+    /// it; every override must produce the same product for each entry,
+    /// so callers summing over sources stay bit-equal to per-pair loops.
+    fn add_costs_from(&self, a: NodeId, to: &[NodeId], scale: f64, acc: &mut [f64]) {
+        debug_assert_eq!(to.len(), acc.len());
+        for (slot, &b) in acc.iter_mut().zip(to) {
+            *slot += scale * self.path_cost(a, b);
+        }
+    }
 }
 
 impl<T: PathCost + ?Sized> PathCost for &T {
@@ -40,6 +51,10 @@ impl<T: PathCost + ?Sized> PathCost for &T {
 
     fn version(&self) -> u64 {
         (**self).version()
+    }
+
+    fn add_costs_from(&self, a: NodeId, to: &[NodeId], scale: f64, acc: &mut [f64]) {
+        (**self).add_costs_from(a, to, scale, acc)
     }
 }
 
@@ -79,39 +94,57 @@ impl PathCost for UniformCost {
 /// 0 on the same node, `rack_cost` within a rack, `remote_cost` across
 /// racks. This is all the network structure Delay Scheduling, Coupling and
 /// LARTS can see — the paper's §I criticizes exactly this granularity.
-#[derive(Clone, Debug)]
-pub struct RackLadderCost {
-    layout: crate::topology::ClusterLayout,
+///
+/// The ladder borrows the cluster layout, so building one per scheduling
+/// decision costs nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct RackLadderCost<'a> {
+    layout: &'a ClusterLayout,
     rack_cost: f64,
     remote_cost: f64,
 }
 
-impl RackLadderCost {
+impl<'a> RackLadderCost<'a> {
     /// The classic Hadoop ladder: 0 / 2 / 4.
-    pub fn hadoop(layout: crate::topology::ClusterLayout) -> Self {
+    pub fn hadoop(layout: &'a ClusterLayout) -> Self {
         Self::new(layout, 2.0, 4.0)
     }
 
     /// A custom ladder.
-    pub fn new(layout: crate::topology::ClusterLayout, rack_cost: f64, remote_cost: f64) -> Self {
+    pub fn new(layout: &'a ClusterLayout, rack_cost: f64, remote_cost: f64) -> Self {
         assert!(remote_cost >= rack_cost && rack_cost >= 0.0);
         Self { layout, rack_cost, remote_cost }
     }
-}
 
-impl PathCost for RackLadderCost {
-    fn path_cost(&self, a: NodeId, b: NodeId) -> f64 {
+    /// The ladder step from a node in rack `ra` to `b`; `a == b` is free.
+    #[inline]
+    fn step(&self, a: NodeId, ra: RackId, b: NodeId) -> f64 {
         if a == b {
             0.0
-        } else if self.layout.same_rack(a, b) {
+        } else if self.layout.rack(b) == ra {
             self.rack_cost
         } else {
             self.remote_cost
         }
     }
+}
+
+impl PathCost for RackLadderCost<'_> {
+    fn path_cost(&self, a: NodeId, b: NodeId) -> f64 {
+        self.step(a, self.layout.rack(a), b)
+    }
 
     fn n_nodes(&self) -> usize {
         self.layout.n_nodes()
+    }
+
+    /// Resolves `a`'s rack once per call instead of once per pair.
+    fn add_costs_from(&self, a: NodeId, to: &[NodeId], scale: f64, acc: &mut [f64]) {
+        debug_assert_eq!(to.len(), acc.len());
+        let ra = self.layout.rack(a);
+        for (slot, &b) in acc.iter_mut().zip(to) {
+            *slot += scale * self.step(a, ra, b);
+        }
     }
 }
 
@@ -123,7 +156,7 @@ mod tests {
     #[test]
     fn rack_ladder_matches_hadoop_classes() {
         let topo = Topology::multi_rack(2, 2, 1.0, 1.0);
-        let c = RackLadderCost::hadoop(topo.layout().clone());
+        let c = RackLadderCost::hadoop(topo.layout());
         assert_eq!(c.path_cost(NodeId(0), NodeId(0)), 0.0);
         assert_eq!(c.path_cost(NodeId(0), NodeId(1)), 2.0);
         assert_eq!(c.path_cost(NodeId(0), NodeId(2)), 4.0);
@@ -135,7 +168,7 @@ mod tests {
         // On a single-rack (or single-logical-rack) cluster every distinct
         // pair costs the same — the coarse view the paper improves on.
         let topo = Topology::palmetto_slice(9, 1.0);
-        let c = RackLadderCost::hadoop(topo.layout().clone());
+        let c = RackLadderCost::hadoop(topo.layout());
         for a in topo.nodes() {
             for b in topo.nodes() {
                 if a != b {

@@ -169,6 +169,16 @@ impl PathCost for DistanceMatrix {
     fn version(&self) -> u64 {
         self.version
     }
+
+    /// Reads `a`'s row as one slice: no per-pair index arithmetic or
+    /// dynamic dispatch.
+    fn add_costs_from(&self, a: NodeId, to: &[NodeId], scale: f64, acc: &mut [f64]) {
+        debug_assert_eq!(to.len(), acc.len());
+        let row = &self.entries[a.idx() * self.n..(a.idx() + 1) * self.n];
+        for (slot, &b) in acc.iter_mut().zip(to) {
+            *slot += scale * row[b.idx()];
+        }
+    }
 }
 
 #[cfg(test)]

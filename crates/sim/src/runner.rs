@@ -1044,7 +1044,6 @@ impl Simulation {
                 window.push(m);
             }
         }
-        let candidates: Vec<_> = window.iter().map(|&m| job.map_cands[m].clone()).collect();
         let cost: &dyn PathCost = match (&self.sched_matrix, &self.hops) {
             (Some(m), _) => m,
             (None, HopModel::Dense(d)) => d,
@@ -1067,6 +1066,8 @@ impl Simulation {
             })
             .collect();
         if live_window.is_empty() && !window.is_empty() {
+            let candidates: Vec<_> =
+                window.iter().map(|&m| self.jobs[ji].map_cands[m].clone()).collect();
             let ctx = MapSchedContext::new(
                 self.jobs[ji].id,
                 &candidates,
@@ -1121,14 +1122,17 @@ impl Simulation {
             .iter()
             .take(self.cfg.reduce_candidate_window)
             .collect();
-        // Each candidate's sources are built in place, in one allocation
-        // sized for every output node and running map.
-        let n_sources = job.output_nodes.len() + job.running_maps.len();
+        // Running-map progress is read once per offer and shared by every
+        // candidate; each candidate's sources are built in place, in one
+        // allocation sized for every output node and running map.
+        let mut running = Vec::with_capacity(job.running_maps.len());
+        job.running_progress(self.now, &mut running);
+        let n_sources = job.output_nodes.len() + running.len();
         let candidates: Vec<ReduceCandidate> = window
             .iter()
             .map(|&f| {
                 let mut sources = Vec::with_capacity(n_sources);
-                job.shuffle_sources(f, self.now, &mut sources);
+                job.shuffle_sources(f, &running, &mut sources);
                 ReduceCandidate { task: ReduceTaskId { job: job.id, index: f as u32 }, sources }
             })
             .collect();

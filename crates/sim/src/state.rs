@@ -123,8 +123,13 @@ impl MapTask {
     /// `A_jf` at time `t`: intermediate bytes produced so far for
     /// partition `f`.
     pub fn current_bytes_for(&self, f: usize, t: f64) -> f64 {
-        let frac = self.input_read(t) as f64 / self.block.max(1) as f64;
-        self.final_bytes_for(f) * frac
+        self.final_bytes_for(f) * self.read_fraction(self.input_read(t))
+    }
+
+    /// The share `d_read / B_j` of the input consumed when `input_read`
+    /// bytes are read: the factor `A_jf = I_jf · d_read / B_j` scales by.
+    fn read_fraction(&self, input_read: u64) -> f64 {
+        input_read as f64 / self.block.max(1) as f64
     }
 
     /// `I_jf`: final intermediate bytes for partition `f`.
@@ -136,6 +141,22 @@ impl MapTask {
     pub fn is_done(&self) -> bool {
         matches!(self.phase, MapPhase::Done { .. })
     }
+}
+
+/// A running map's progress at one query time. A reduce offer computes it
+/// once per running map and shares it across every candidate partition's
+/// [`JobState::shuffle_sources`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct MapProgress {
+    /// Index into [`JobState::maps`].
+    pub map: usize,
+    /// Execution node.
+    pub node: NodeId,
+    /// `d_read` at the query time.
+    pub input_read: u64,
+    /// `d_read / B_j`: partition `f`'s current bytes are
+    /// `final_bytes_for(f) * fraction`, exactly `current_bytes_for(f, t)`.
+    pub fraction: f64,
 }
 
 /// Reduce task lifecycle.
@@ -575,12 +596,30 @@ impl JobState {
         }
     }
 
-    /// Build the shuffle sources of reduce partition `f` at time `t`:
-    /// exact per the paper's model — one aggregate entry per node holding
-    /// *finished* map output (their extrapolation is exact) plus one entry
-    /// per still-running map (whose progress is what the estimator
-    /// comparison is about).
-    pub fn shuffle_sources(&self, f: usize, t: f64, out: &mut Vec<ShuffleSource>) {
+    /// The progress of every running map at time `t`, in `running_maps`
+    /// order; `out` is overwritten. Feed it to [`Self::shuffle_sources`].
+    pub fn running_progress(&self, t: f64, out: &mut Vec<MapProgress>) {
+        out.clear();
+        out.extend(self.running_maps.iter().filter_map(|&mi| {
+            let m = &self.maps[mi];
+            let node = m.node()?;
+            let input_read = m.input_read(t);
+            Some(MapProgress { map: mi, node, input_read, fraction: m.read_fraction(input_read) })
+        }));
+    }
+
+    /// Build the shuffle sources of reduce partition `f` from `running`
+    /// (this job's [`Self::running_progress`] at the offer time): exact per
+    /// the paper's model — one aggregate entry per node holding *finished*
+    /// map output (their extrapolation is exact) plus one entry per
+    /// still-running map (whose progress is what the estimator comparison
+    /// is about).
+    pub fn shuffle_sources(
+        &self,
+        f: usize,
+        running: &[MapProgress],
+        out: &mut Vec<ShuffleSource>,
+    ) {
         out.clear();
         for (&nid, row) in self.output_nodes.iter().zip(&self.done_by_node) {
             let Some(bytes) = row.get(f) else {
@@ -595,16 +634,14 @@ impl JobState {
                 });
             }
         }
-        for &mi in &self.running_maps {
-            let m = &self.maps[mi];
-            if let Some(node) = m.node() {
-                out.push(ShuffleSource {
-                    node,
-                    current_bytes: m.current_bytes_for(f, t),
-                    input_read: m.input_read(t),
-                    input_total: m.block,
-                });
-            }
+        for p in running {
+            let m = &self.maps[p.map];
+            out.push(ShuffleSource {
+                node: p.node,
+                current_bytes: m.final_bytes_for(f) * p.fraction,
+                input_read: p.input_read,
+                input_total: m.block,
+            });
         }
     }
 }
@@ -705,8 +742,9 @@ mod tests {
         assert_eq!(j.maps[0].epoch, 1);
         assert_eq!(j.maps[0].phase, MapPhase::Unassigned);
         // The cleared node yields no shuffle sources.
-        let mut out = Vec::new();
-        j.shuffle_sources(0, 2.0, &mut out);
+        let (mut running, mut out) = (Vec::new(), Vec::new());
+        j.running_progress(2.0, &mut running);
+        j.shuffle_sources(0, &running, &mut out);
         assert!(out.is_empty());
     }
 
@@ -730,8 +768,9 @@ mod tests {
         j.complete_map(0, NodeId(0), 1.0);
         j.maps[1].phase = MapPhase::Computing { node: NodeId(1), start: 0.0, duration: 10.0 };
         j.running_maps.push(1);
-        let mut out = Vec::new();
-        j.shuffle_sources(2, 5.0, &mut out);
+        let (mut running, mut out) = (Vec::new(), Vec::new());
+        j.running_progress(5.0, &mut running);
+        j.shuffle_sources(2, &running, &mut out);
         assert_eq!(out.len(), 2);
         // Finished aggregate reports itself as fully read.
         assert_eq!(out[0].node, NodeId(0));
@@ -740,6 +779,74 @@ mod tests {
         assert_eq!(out[1].node, NodeId(1));
         assert_eq!(out[1].input_read, 500);
         assert_eq!(out[1].input_total, 1000);
+    }
+
+    /// The progress-based sources are bit-equal, for every partition, to
+    /// the per-candidate formula they replace (`current_bytes_for(f, t)`
+    /// and `input_read(t)` re-evaluated per source): running maps that
+    /// are fetching, mid-compute and clamped past their end, plus the
+    /// finished per-node rows.
+    #[test]
+    fn progress_sources_match_per_source_formula() {
+        let input = JobInput {
+            name: "p".into(),
+            submit: 0.0,
+            block_sizes: vec![1000, 777, 1000, 333, 1000],
+            n_reduces: 5,
+            shuffle: ShuffleModel::for_app(AppKind::Terasort),
+        };
+        let replicas = (0..5).map(|i| vec![NodeId(i)]).collect();
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut j = JobState::new(JobId(0), &input, replicas, 5, &mut rng);
+        for m in 0..5 {
+            j.materialize_map_output(m, 0.3, &mut rng);
+        }
+        j.maps[0].phase = MapPhase::Computing { node: NodeId(0), start: 0.0, duration: 1.0 };
+        j.complete_map(0, NodeId(0), 1.0);
+        j.maps[1].phase = MapPhase::Fetching { node: NodeId(1) };
+        j.maps[2].phase = MapPhase::Computing { node: NodeId(2), start: 1.0, duration: 3.0 };
+        j.maps[3].phase = MapPhase::Computing { node: NodeId(4), start: 0.0, duration: 0.5 };
+        j.running_maps.extend([2, 1, 3]); // map 4 stays unassigned
+        let t = 2.3;
+
+        let (mut running, mut got) = (Vec::new(), Vec::new());
+        j.running_progress(t, &mut running);
+        assert_eq!(running.len(), 3);
+        assert_eq!(running[0].input_read, 433, "mid-compute");
+        assert_eq!(running[1].input_read, 0, "fetching");
+        assert_eq!(running[2].input_read, 333, "clamped past the end");
+        for f in 0..5 {
+            j.shuffle_sources(f, &running, &mut got);
+            let mut want: Vec<ShuffleSource> = j
+                .output_nodes
+                .iter()
+                .zip(&j.done_by_node)
+                .filter(|(_, row)| row[f] > 0.0)
+                .map(|(&nid, row)| ShuffleSource {
+                    node: NodeId(nid),
+                    current_bytes: row[f],
+                    input_read: 1,
+                    input_total: 1,
+                })
+                .collect();
+            want.extend(j.running_maps.iter().map(|&mi| {
+                let m = &j.maps[mi];
+                ShuffleSource {
+                    node: m.node().unwrap(),
+                    current_bytes: m.current_bytes_for(f, t),
+                    input_read: m.input_read(t),
+                    input_total: m.block,
+                }
+            }));
+            assert_eq!(got.len(), want.len(), "partition {f}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(
+                    (g.node, g.current_bytes.to_bits(), g.input_read, g.input_total),
+                    (w.node, w.current_bytes.to_bits(), w.input_read, w.input_total),
+                    "partition {f}"
+                );
+            }
+        }
     }
 
     #[test]
